@@ -68,10 +68,10 @@ struct ScalingMeasurement {
     elapsed_s: f64,
     ticks_per_sec: f64,
     placements: u64,
-    /// Heap bytes of the pooled job table at the end of the run,
-    /// divided by the server count — the 1M tier's memory-budget
-    /// record (`check-bench` requires it on the 1M rows and holds it
-    /// under budget). `null` on rows recorded before the pooled table
+    /// Heap bytes of the job table at the end of the run, divided by
+    /// the server count — the 1M tier's memory-budget record
+    /// (`check-bench` requires it on the 1M rows and holds it under
+    /// budget). `null` on rows recorded before the compact table
     /// (the vendored serde stub has no `skip_serializing_if`).
     #[serde(default)]
     bytes_per_server: Option<f64>,
@@ -249,7 +249,7 @@ fn measure_scaling_row(
 
 /// The 1M-server tier: short-horizon best-of-N rows for the thread
 /// counts that bracket the sharded tick (serial and fanned out), with
-/// the pooled job table's bytes-per-server recorded on each row.
+/// the job table's bytes-per-server recorded on each row.
 ///
 /// Knobs (all optional, for CI budgets and overhead triage):
 /// `VMT_BENCH_MILLION_SERVERS` (default 1,000,000),
@@ -622,7 +622,7 @@ fn main() {
         }
     }
     // The 1M tier: short-horizon rows at the bracketing thread counts,
-    // with the pooled job table's bytes-per-server recorded.
+    // with the job table's bytes-per-server recorded.
     scaling.extend(measure_million());
     // Instrumented per-phase breakdown at the headline cluster size,
     // plus the zoned 10k observability-overhead row.

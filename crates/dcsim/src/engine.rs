@@ -1,7 +1,7 @@
 //! The simulation main loop.
 
 use crate::config::ClusterConfig;
-use crate::farm::{ServerFarm, SweepTiming, SHARD};
+use crate::farm::{partition_by_shard, ServerFarm, SweepTiming, SHARD};
 use crate::index::ClusterIndex;
 use crate::metrics::{Heatmap, SimulationResult};
 use crate::scheduler::{DecisionDetail, PlacementProbe, Scheduler};
@@ -84,9 +84,12 @@ pub struct Simulation {
     /// Per-job placement outcomes of the tick's batch, reused across
     /// ticks.
     outcomes: Vec<Option<ServerId>>,
-    /// Departure entries partitioned by server shard for the parallel
-    /// drain, reused across ticks.
-    depart_shards: Vec<Vec<(JobId, u32)>>,
+    /// A large departure bucket stably sorted by server shard for the
+    /// sharded drain, reused across ticks.
+    depart_sorted: Vec<(JobId, u32)>,
+    /// End offset of each shard's run in `depart_sorted`, reused across
+    /// ticks.
+    shard_ends: Vec<u32>,
     /// Retired departure buckets recycled into future calendar slots so
     /// the steady state allocates no new buckets.
     bucket_pool: Vec<Vec<(JobId, u32)>>,
@@ -226,7 +229,8 @@ impl Simulation {
             per_kind: std::array::from_fn(|_| Vec::new()),
             batch: Vec::new(),
             outcomes: Vec::new(),
-            depart_shards: Vec::new(),
+            depart_sorted: Vec::new(),
+            shard_ends: Vec::new(),
             bucket_pool: Vec::new(),
             zones,
             telemetry: None,
@@ -732,13 +736,16 @@ impl Simulation {
             *slot = usize::try_from(used)
                 .map_err(|_| SnapshotError::Corrupt("occupancy overflows usize".to_owned()))?;
         }
-        let occupancy_total: u64 = snapshot.occupancy.iter().sum();
-        let farm_used: u64 = (0..sim.farm.len())
-            .map(|i| u64::from(sim.farm.used_cores(i)))
-            .sum();
-        if occupancy_total != farm_used {
+        let mut farm_kinds = [0u64; 5];
+        for i in 0..sim.farm.len() {
+            for (total, count) in farm_kinds.iter_mut().zip(sim.farm.kind_counts(i)) {
+                *total += u64::from(count);
+            }
+        }
+        if snapshot.occupancy != farm_kinds {
             return Err(SnapshotError::Corrupt(format!(
-                "occupancy counts {occupancy_total} busy cores, the farm holds {farm_used}"
+                "occupancy counts {:?} busy cores per workload, the farm holds {farm_kinds:?}",
+                snapshot.occupancy
             )));
         }
         sim.departures.resize_with(ticks, Vec::new);
@@ -757,10 +764,32 @@ impl Simulation {
                     "departure names server {server} in a {servers}-server farm"
                 )));
             }
+            if let Some(&(id, server)) = bucket
+                .iter()
+                .find(|&&(id, s)| !sim.farm.runs_job(s as usize, JobId(id)))
+            {
+                return Err(SnapshotError::Corrupt(format!(
+                    "departure names {}, which is not running on server {server}",
+                    JobId(id)
+                )));
+            }
             sim.departures[slot] = bucket
                 .iter()
                 .map(|&(id, server)| (JobId(id), server))
                 .collect();
+        }
+        // Each running job departs at most once.
+        let mut departing: Vec<u64> = snapshot
+            .departures
+            .iter()
+            .flat_map(|(_, bucket)| bucket.iter().map(|&(id, _)| id))
+            .collect();
+        departing.sort_unstable();
+        if let Some(pair) = departing.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{} departs more than once",
+                JobId(pair[0])
+            )));
         }
         sim.next_job_id = snapshot.next_job_id;
         sim.arrival_rng = rand::rngs::SmallRng::from_state(snapshot.arrival_rng);
@@ -852,7 +881,8 @@ impl Simulation {
             per_kind: std::array::from_fn(|_| Vec::new()),
             batch: Vec::new(),
             outcomes: Vec::new(),
-            depart_shards: Vec::new(),
+            depart_sorted: Vec::new(),
+            shard_ends: Vec::new(),
             bucket_pool: Vec::new(),
             zones: self.zones.clone(),
             telemetry: None,
@@ -862,10 +892,11 @@ impl Simulation {
 
     /// Ends every job whose departure tick has arrived.
     ///
-    /// Large buckets are partitioned by server shard and drained
-    /// shard-by-shard — in ascending server order for slab locality on
-    /// one thread, on the farm's persistent pool when more are
-    /// configured. The partition is stable, so every server sees its
+    /// Large buckets are partitioned by server shard — a stable
+    /// counting sort into one reused buffer plus per-shard end offsets —
+    /// and drained shard-by-shard: in ascending server order for slab
+    /// locality on one thread, on the farm's persistent pool when more
+    /// are configured. The partition is stable, so every server sees its
     /// departures in bucket order and results are bit-identical to the
     /// direct per-entry drain (which small buckets take).
     fn process_departures(
@@ -876,16 +907,15 @@ impl Simulation {
     ) {
         let mut bucket = std::mem::take(&mut self.departures[tick as usize]);
         if bucket.len() >= PAR_DEPART_MIN {
-            let num_shards = self.farm.len().div_ceil(SHARD);
-            self.depart_shards.resize_with(num_shards, Vec::new);
-            for shard in &mut self.depart_shards {
-                shard.clear();
-            }
-            for &(job, server) in &bucket {
-                self.depart_shards[server as usize / SHARD].push((job, server));
-            }
+            partition_by_shard(
+                &bucket,
+                self.farm.len().div_ceil(SHARD),
+                &mut self.depart_sorted,
+                &mut self.shard_ends,
+            );
             let ended = self.farm.end_jobs_sharded(
-                &self.depart_shards,
+                &self.depart_sorted,
+                &self.shard_ends,
                 &mut self.index,
                 &mut self.occupancy,
                 timing,
@@ -1199,27 +1229,99 @@ mod tests {
         }
     }
 
+    /// Test policy placing jobs round robin from a cursor, so rows fill
+    /// evenly and departures punch holes at every row position.
+    #[derive(Debug, Default)]
+    struct Cycle {
+        next: usize,
+    }
+
+    impl crate::snapshot::SnapshotState for Cycle {}
+
+    impl Scheduler for Cycle {
+        fn name(&self) -> &str {
+            "cycle"
+        }
+
+        fn place(&mut self, _job: &Job, farm: &ServerFarm) -> Option<ServerId> {
+            let n = farm.len();
+            let i = (0..n)
+                .map(|k| (self.next + k) % n)
+                .find(|&i| farm.free_cores(i) > 0)?;
+            self.next = i + 1;
+            Some(ServerId(i))
+        }
+    }
+
+    /// The engine's three occupancy ledgers agree with each other and
+    /// with the farm's job rows: Σ occupancy = Σ used cores = the
+    /// index's running total, and each workload's occupancy equals its
+    /// job count summed over the rows.
+    fn assert_ledgers_agree(sim: &Simulation) {
+        let tick = sim.current_tick();
+        let farm = &sim.farm;
+        let used: u64 = (0..farm.len()).map(|i| u64::from(farm.used_cores(i))).sum();
+        let occupied: usize = sim.occupancy.iter().sum();
+        assert_eq!(
+            occupied as u64, used,
+            "tick {tick}: occupancy vs used cores"
+        );
+        assert_eq!(
+            sim.index.used_cores_total(),
+            used,
+            "tick {tick}: index total vs used cores"
+        );
+        let mut per_kind = [0usize; 5];
+        for i in 0..farm.len() {
+            for (total, count) in per_kind.iter_mut().zip(farm.kind_counts(i)) {
+                *total += count as usize;
+            }
+        }
+        assert_eq!(
+            sim.occupancy, per_kind,
+            "tick {tick}: occupancy per workload"
+        );
+    }
+
     #[test]
     fn occupancy_is_conserved() {
-        // Over a short run, placements = departures + still-running jobs;
-        // indirectly validated by zero drops plus the engine not
-        // panicking on end_job bookkeeping; spot-check electrical power
-        // returns near idle at the trough.
         let mut trace_cfg = TraceConfig::paper_default();
         trace_cfg.horizon = Hours::new(10.0); // covers the hour-8 trough
-        let r = Simulation::new(
+        let mut sim = Simulation::new(
             ClusterConfig::paper_default(4),
-            DiurnalTrace::new(trace_cfg),
+            DiurnalTrace::new(trace_cfg.clone()),
             Box::new(FirstFit::new()),
-        )
-        .run();
+        );
+        while sim.step() {
+            assert_ledgers_agree(&sim);
+        }
+        let (r, _) = sim.finish();
         // At the trough (hour 8) utilization ≈35%: electrical well below
         // the peak.
-        let trough_tick = 8 * 60;
-        let peak_tick = r.electrical.len() - 1; // hour 10 on the rise
-        let _ = peak_tick;
-        let trough = r.electrical.samples()[trough_tick].get();
+        let trough = r.electrical.samples()[8 * 60].get();
         let peak = r.electrical.peak().get();
         assert!(trough < peak, "trough {trough} peak {peak}");
+
+        // A second policy on a cluster large enough that departure
+        // buckets take the sharded drain.
+        trace_cfg.horizon = Hours::new(2.0);
+        let mut sim = Simulation::new(
+            ClusterConfig::paper_default(2_000),
+            DiurnalTrace::new(trace_cfg),
+            Box::new(Cycle::default()),
+        );
+        let mut largest_bucket = 0;
+        loop {
+            let due = sim.departures.get(sim.current_tick() as usize);
+            largest_bucket = largest_bucket.max(due.map_or(0, Vec::len));
+            if !sim.step() {
+                break;
+            }
+            assert_ledgers_agree(&sim);
+        }
+        assert!(
+            largest_bucket >= PAR_DEPART_MIN,
+            "largest departure bucket {largest_bucket} never reached the sharded drain"
+        );
     }
 }

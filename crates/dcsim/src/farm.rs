@@ -61,138 +61,169 @@ const SERVERS_PER_WORKER: usize = 2048;
 /// never spreads a tick's bucket thinner than that.
 const DEPART_JOBS_PER_WORKER: usize = 4096;
 
-/// Slots per page of the pooled job table. Eight 4-byte delta ids fit
-/// in half a cache line, and a server's chain is at most
-/// `cores / JOB_PAGE` pages (four at the paper's 32 cores), so a
-/// departure scan touches a handful of small pages instead of a
-/// 256-byte slab row sized for the fully-loaded worst case.
-const JOB_PAGE: usize = 8;
+/// Lanes of one branch-free job-row compare (and the granularity a
+/// row's stride is rounded up to). Eight 4-byte delta ids are one
+/// 256-bit compare; x86-64's baseline SSE2 does it as two.
+const LANES: usize = 8;
 
-/// Chain terminator / "no page" sentinel in job-table page links.
-const NO_PAGE: u32 = u32::MAX;
+/// How many entries ahead the departure drain prefetches. A drain entry
+/// costs a few tens of nanoseconds, so eight entries cover a DRAM miss.
+const PREFETCH_AHEAD: usize = 8;
 
-/// One shard's pooled job storage: page-granular parallel arrays plus a
-/// LIFO free list. Pools are per-shard (not farm-wide) so the sharded
-/// departure drain stays lock-free — each drain task owns its shard's
-/// pool outright — and so a shard's live pages cluster in memory.
-#[derive(Debug, Clone, Default)]
-struct JobPool {
-    /// Job ids, stored as u32 deltas against the farm's `id_base`
-    /// ([`JOB_PAGE`] slots per page).
-    ids: Vec<u32>,
-    /// Workload index byte of each slot, parallel to `ids`.
-    kinds: Vec<u8>,
-    /// Next-page link of each page; [`NO_PAGE`] terminates a chain.
-    next: Vec<u32>,
-    /// Recycled page indices, reused LIFO so churn rides hot lines.
-    free: Vec<u32>,
+/// Hints the CPU to pull the cache line holding `p` toward L1.
+/// Architecturally a no-op: it never faults, whatever the address, so
+/// callers may pass pointers formed with `wrapping_add`.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch has no architectural effect and never faults.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
-impl JobPool {
-    /// Hands out a page — recycled when possible, freshly grown
-    /// otherwise — with its chain link cleared.
-    fn alloc_page(&mut self) -> u32 {
-        if let Some(page) = self.free.pop() {
-            self.next[page as usize] = NO_PAGE;
-            return page;
-        }
-        let page = self.next.len() as u32;
-        self.ids.resize(self.ids.len() + JOB_PAGE, 0);
-        self.kinds.resize(self.kinds.len() + JOB_PAGE, 0);
-        self.next.push(NO_PAGE);
-        page
+/// Prefetches the job row starting at slot `start` (`stride` slots):
+/// every cache line of its ids and the first line of its kinds.
+#[inline(always)]
+fn prefetch_row(ids: &[u32], kinds: &[u8], start: usize, stride: usize) {
+    let row = ids.as_ptr().wrapping_add(start);
+    for lane in (0..stride).step_by(16) {
+        prefetch(row.wrapping_add(lane));
     }
-
-    /// Heap bytes currently reserved by this pool.
-    fn heap_bytes(&self) -> usize {
-        self.ids.capacity() * 4
-            + self.kinds.capacity()
-            + self.next.capacity() * 4
-            + self.free.capacity() * 4
-    }
+    prefetch(row.wrapping_add(stride.saturating_sub(1)));
+    prefetch(kinds.as_ptr().wrapping_add(start));
 }
 
-/// Appends one entry at chain position `len` — the pooled equivalent of
-/// writing slab slot `len`. Counts and power stay with the callers.
+/// Bit `s` set when `lanes[s] == delta`: the masked compare of one
+/// [`LANES`]-slot chunk. On x86-64 it is two SSE2 compares and two
+/// sign-bit gathers; elsewhere the scalar
+/// `mask |= (v == delta) << s` form, which is also the reference the
+/// SSE2 form is tested against. (The scalar form did not vectorize
+/// reliably once inlined into the drain.)
 #[inline]
-fn append_job(
-    pool: &mut JobPool,
-    head: &mut u32,
-    tail: &mut u32,
-    len: usize,
-    delta: u32,
-    kind: u8,
-) {
-    if len.is_multiple_of(JOB_PAGE) {
-        let page = pool.alloc_page();
-        if *head == NO_PAGE {
-            *head = page;
-        } else {
-            pool.next[*tail as usize] = page;
+fn chunk_mask(lanes: &[u32; LANES], delta: u32) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{
+            _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_ps, _mm_set1_epi32,
+        };
+        // SAFETY: SSE2 is part of the x86-64 baseline, and the two
+        // unaligned 16-byte loads read lanes 0..4 and 4..8 of `lanes`.
+        unsafe {
+            let key = _mm_set1_epi32(delta as i32);
+            let lo = _mm_loadu_si128(lanes.as_ptr().cast());
+            let hi = _mm_loadu_si128(lanes.as_ptr().add(4).cast());
+            let lo = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(lo, key)));
+            let hi = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(hi, key)));
+            (lo | hi << 4) as u32
         }
-        *tail = page;
     }
-    let slot = *tail as usize * JOB_PAGE + len % JOB_PAGE;
-    pool.ids[slot] = delta;
-    pool.kinds[slot] = kind;
+    #[cfg(not(target_arch = "x86_64"))]
+    lanes
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (s, &v)| mask | u32::from(v == delta) << s)
 }
 
-/// Removes job `id` from one server's chain — the exact swap-remove
-/// `end_job` has always performed, expressed on the pooled layout: the
-/// chain's last entry moves into the hole, and an emptied tail page
-/// returns to the pool's free list. Shared by [`ServerFarm::end_job`]
-/// and the sharded departure drain.
+/// Slot of `delta` among the first `len` slots of `row`, if any.
+///
+/// Branch-free within each 64-slot block: every chunk of the block is
+/// compared (live or not, so the trip count is fixed by the row stride
+/// and never mispredicts), the chunk masks are packed into one `u64`,
+/// slots at or past `len` (stale bytes) are masked off, and
+/// `trailing_zeros` picks the first hit. Rows longer than 64 slots
+/// (servers with more than 64 cores) take one block at a time.
+#[inline]
+fn find_job(row: &[u32], len: usize, delta: u32) -> Option<usize> {
+    for (b, block) in row.chunks(64).enumerate() {
+        let live = len.saturating_sub(b * 64);
+        if live == 0 {
+            break;
+        }
+        let (chunks, _) = block.as_chunks::<LANES>();
+        let mut mask = 0u64;
+        for (c, lanes) in chunks.iter().enumerate() {
+            mask |= u64::from(chunk_mask(lanes, delta)) << (c * LANES);
+        }
+        mask &= u64::MAX >> (64 - live.min(64));
+        if mask != 0 {
+            return Some(b * 64 + mask.trailing_zeros() as usize);
+        }
+    }
+    None
+}
+
+/// The u32 delta of `id` against `id_base`, if it fits the window.
+#[inline]
+fn id_delta(id_base: u64, id: JobId) -> Option<u32> {
+    id.0.checked_sub(id_base)
+        .and_then(|d| u32::try_from(d).ok())
+}
+
+/// Slots per job row for `cores`-core servers: the core count rounded
+/// up to whole [`LANES`] chunks.
+fn row_stride(cores: u32) -> usize {
+    (cores as usize).next_multiple_of(LANES)
+}
+
+/// Removes job `id` from one server's row — the exact swap-remove
+/// `end_job` has always performed: the row's last live entry moves into
+/// the hole. Shared by [`ServerFarm::end_job`] and the sharded
+/// departure drain; `ids`/`kinds` are the server's whole row. Returns
+/// the job's [`WorkloadKind::index`].
+#[inline(always)]
 fn remove_job(
-    pool: &mut JobPool,
-    id_base: u64,
-    head: &mut u32,
-    tail: &mut u32,
+    ids: &mut [u32],
+    kinds: &mut [u8],
     count: &mut u32,
+    id_base: u64,
     server: usize,
     id: JobId,
-) -> WorkloadKind {
+) -> usize {
     let len = *count as usize;
-    let delta =
-        id.0.checked_sub(id_base)
-            .filter(|&d| d <= u32::MAX as u64)
-            .unwrap_or_else(|| panic!("{id} not running on {}", ServerId(server))) as u32;
-    // Walk the chain for the job's slot.
-    let mut page = *head;
-    let mut found = None;
-    'walk: for j in (0..len).step_by(JOB_PAGE) {
-        let base_slot = page as usize * JOB_PAGE;
-        for s in 0..JOB_PAGE.min(len - j) {
-            if pool.ids[base_slot + s] == delta {
-                found = Some(base_slot + s);
-                break 'walk;
-            }
-        }
-        page = pool.next[page as usize];
-    }
-    let pos = found.unwrap_or_else(|| panic!("{id} not running on {}", ServerId(server)));
-    let last = *tail as usize * JOB_PAGE + (len - 1) % JOB_PAGE;
-    let kind = WorkloadKind::ALL[pool.kinds[pos] as usize];
-    pool.ids[pos] = pool.ids[last];
-    pool.kinds[pos] = pool.kinds[last];
+    let pos = id_delta(id_base, id)
+        .and_then(|delta| find_job(ids, len, delta))
+        .unwrap_or_else(|| panic!("{id} not running on {}", ServerId(server)));
+    let kind = kinds[pos];
+    ids[pos] = ids[len - 1];
+    kinds[pos] = kinds[len - 1];
     *count = (len - 1) as u32;
-    // Free an emptied tail page, re-terminating the chain at its
-    // predecessor (chains are at most `cores / JOB_PAGE` pages long).
-    if (len - 1).is_multiple_of(JOB_PAGE) {
-        let emptied = *tail;
-        pool.free.push(emptied);
-        if *head == emptied {
-            *head = NO_PAGE;
-            *tail = NO_PAGE;
-        } else {
-            let mut prev = *head;
-            while pool.next[prev as usize] != emptied {
-                prev = pool.next[prev as usize];
-            }
-            pool.next[prev as usize] = NO_PAGE;
-            *tail = prev;
-        }
+    usize::from(kind)
+}
+
+/// Stably partitions a departure bucket by server shard for
+/// [`ServerFarm::end_jobs_sharded`]: a counting sort into `sorted` (one
+/// reused buffer) that leaves `shard_ends[s]` at the end of shard `s`'s
+/// run. Stability keeps every server's departures in bucket order.
+pub(crate) fn partition_by_shard(
+    bucket: &[(JobId, u32)],
+    num_shards: usize,
+    sorted: &mut Vec<(JobId, u32)>,
+    shard_ends: &mut Vec<u32>,
+) {
+    // Count each shard's entries, turn the counts into start offsets,
+    // then scatter: each cursor ends at its shard's end.
+    shard_ends.clear();
+    shard_ends.resize(num_shards, 0);
+    for &(_, server) in bucket {
+        shard_ends[server as usize / SHARD] += 1;
     }
-    kind
+    let mut start = 0;
+    for slot in shard_ends.iter_mut() {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    sorted.clear();
+    sorted.resize(bucket.len(), (JobId(0), 0));
+    for &entry in bucket {
+        let cursor = &mut shard_ends[entry.1 as usize / SHARD];
+        sorted[*cursor as usize] = entry;
+        *cursor += 1;
+    }
 }
 
 /// Physical-parallelism ceiling on per-sweep fan-out, resolved once.
@@ -384,21 +415,19 @@ pub struct ServerFarm {
     est_temp_c: Vec<f64>,
     /// Per-server estimator melt-fraction state.
     est_fraction: Vec<f64>,
-    /// Pooled running-job table, one pool per [`SHARD`] of servers:
-    /// server `i`'s jobs live in `pools[i / SHARD]` as a chain of
-    /// [`JOB_PAGE`]-slot pages from `job_heads[i]` to `job_tails[i]`,
-    /// the first `job_counts[i]` chain slots valid, ids stored as u32
-    /// deltas against `id_base`. Compared to the former
-    /// `num_servers × cores` u64 slab this sizes the table to *live*
-    /// jobs — pages recycle through per-pool free lists — cutting
-    /// ~288 MB of slab at 1M servers to tens of MB of pages.
-    pools: Vec<JobPool>,
-    /// First page of each server's job chain ([`NO_PAGE`] when idle).
-    job_heads: Vec<u32>,
-    /// Last page of each server's job chain ([`NO_PAGE`] when idle).
-    job_tails: Vec<u32>,
-    /// Occupied chain slots of each server (= used cores).
+    /// Flat running-job slab: server `i`'s row is slots
+    /// `i * stride .. (i + 1) * stride`, of which the first
+    /// `job_counts[i]` are live. Ids are stored as u32 deltas against
+    /// `id_base`. Empty until the first job starts (or a restore brings
+    /// jobs), so building a farm never pays for zeroing it.
+    job_ids: Vec<u32>,
+    /// Workload index byte of each slab slot, parallel to `job_ids`.
+    job_kinds: Vec<u8>,
+    /// Live slots of each server's row (= used cores).
     job_counts: Vec<u32>,
+    /// Slots per row: the core count rounded up to [`LANES`], so every
+    /// row search runs whole chunks.
+    stride: usize,
     /// Base subtracted from absolute job ids before storing them as
     /// u32 deltas; re-anchored by `rebase_ids` when the engine's
     /// monotonically increasing ids outrun the 32-bit window.
@@ -413,6 +442,10 @@ pub struct ServerFarm {
     /// Semantically empty between ticks; never serialized or compared.
     scratch_air: Vec<f64>,
     scratch_melt: Vec<f64>,
+    /// Reusable task slots and per-shard outcomes of the sharded
+    /// departure drain, for the same reason. Empty between ticks.
+    depart_tasks: Vec<Option<DepartView<'static>>>,
+    depart_outs: Vec<DepartOut>,
 }
 
 impl Clone for ServerFarm {
@@ -430,14 +463,16 @@ impl Clone for ServerFarm {
             enthalpy_j: self.enthalpy_j.clone(),
             est_temp_c: self.est_temp_c.clone(),
             est_fraction: self.est_fraction.clone(),
-            pools: self.pools.clone(),
-            job_heads: self.job_heads.clone(),
-            job_tails: self.job_tails.clone(),
+            job_ids: self.job_ids.clone(),
+            job_kinds: self.job_kinds.clone(),
             job_counts: self.job_counts.clone(),
+            stride: self.stride,
             id_base: self.id_base,
             pool: None,
             scratch_air: Vec::new(),
             scratch_melt: Vec::new(),
+            depart_tasks: Vec::new(),
+            depart_outs: Vec::new(),
         }
     }
 }
@@ -464,14 +499,16 @@ impl ServerFarm {
             enthalpy_j: Vec::with_capacity(n),
             est_temp_c: Vec::with_capacity(n),
             est_fraction: vec![0.0; n],
-            pools: vec![JobPool::default(); n.div_ceil(SHARD)],
-            job_heads: vec![NO_PAGE; n],
-            job_tails: vec![NO_PAGE; n],
+            job_ids: Vec::new(),
+            job_kinds: Vec::new(),
             job_counts: vec![0; n],
+            stride: row_stride(config.power.cores()),
             id_base: 0,
             pool: None,
             scratch_air: Vec::new(),
             scratch_melt: Vec::new(),
+            depart_tasks: Vec::new(),
+            depart_outs: Vec::new(),
         };
         for i in 0..n {
             let inlet = config.inlet.inlet_for(i);
@@ -526,22 +563,15 @@ impl ServerFarm {
             .map(|id| id.0)
             .min()
             .unwrap_or(0);
-        let mut pools = vec![JobPool::default(); n.div_ceil(SHARD)];
-        let mut job_heads = vec![NO_PAGE; n];
-        let mut job_tails = vec![NO_PAGE; n];
+        let stride = row_stride(first.power_model().cores());
+        let mut job_ids = vec![0u32; n * stride];
+        let mut job_kinds = vec![0u8; n * stride];
         let mut job_counts = vec![0u32; n];
         for (i, s) in servers.iter().enumerate() {
             for (&id, &kind) in s.jobs_map() {
-                let delta = id.0 - id_base;
-                assert!(delta <= u32::MAX as u64, "live job-id span exceeds u32");
-                append_job(
-                    &mut pools[i / SHARD],
-                    &mut job_heads[i],
-                    &mut job_tails[i],
-                    job_counts[i] as usize,
-                    delta as u32,
-                    kind.index() as u8,
-                );
+                let slot = i * stride + job_counts[i] as usize;
+                job_ids[slot] = id_delta(id_base, id).expect("live job-id span exceeds u32");
+                job_kinds[slot] = kind.index() as u8;
                 job_counts[i] += 1;
             }
         }
@@ -561,14 +591,16 @@ impl ServerFarm {
             enthalpy_j: Vec::with_capacity(n),
             est_temp_c: Vec::with_capacity(n),
             est_fraction: Vec::with_capacity(n),
-            pools,
-            job_heads,
-            job_tails,
+            job_ids,
+            job_kinds,
             job_counts,
+            stride,
             id_base,
             pool: None,
             scratch_air: Vec::new(),
             scratch_melt: Vec::new(),
+            depart_tasks: Vec::new(),
+            depart_outs: Vec::new(),
         };
         for s in servers {
             match s.wax_parts() {
@@ -627,17 +659,17 @@ impl ServerFarm {
     }
 
     /// Captures every evolving per-server array as a serializable
-    /// [`FarmState`] image. Job rows are emitted dense — the first
-    /// `job_counts[i]` slots of each row hold that server's jobs in
-    /// table order, the rest zero — independent of how the pooled
-    /// table arranges them internally.
+    /// [`FarmState`] image. Job rows are emitted dense on a
+    /// `cores`-slot stride — the first `job_counts[i]` slots of each row
+    /// hold that server's jobs in table order, the rest zero — whatever
+    /// stale bytes the live slab keeps past each count.
     pub fn state(&self) -> FarmState {
         let n = self.len();
-        let stride = self.cores() as usize;
-        let mut job_ids = vec![0u64; n * stride];
-        let mut job_kinds = vec![0u8; n * stride];
+        let wire = self.cores() as usize;
+        let mut job_ids = vec![0u64; n * wire];
+        let mut job_kinds = vec![0u8; n * wire];
         for i in 0..n {
-            let row = i * stride;
+            let row = i * wire;
             for (j, (id, kind)) in self.job_row(i).enumerate() {
                 job_ids[row + j] = id.0;
                 job_kinds[row + j] = kind.index() as u8;
@@ -662,13 +694,15 @@ impl ServerFarm {
     /// # Errors
     ///
     /// [`SnapshotError::Corrupt`] when any array length disagrees with
-    /// this farm's shape; the farm is left untouched in that case.
+    /// this farm's shape, a count exceeds the core count, a live slot
+    /// names an unknown workload, or the live ids span more than the
+    /// u32 delta window; the farm is left untouched in that case.
     ///
     /// [`SnapshotError::Corrupt`]: crate::SnapshotError::Corrupt
     pub fn apply_state(&mut self, state: &FarmState) -> Result<(), crate::snapshot::SnapshotError> {
         let n = self.len();
-        let stride = self.cores() as usize;
-        let slab = n * stride;
+        let wire = self.cores() as usize;
+        let slab = n * wire;
         let per_server_ok = state.inlet_c.len() == n
             && state.at_wax_c.len() == n
             && state.active_power_w.len() == n
@@ -684,21 +718,29 @@ impl ServerFarm {
                 state.job_ids.len(),
             )));
         }
-        if let Some(i) = (0..n).find(|&i| state.job_counts[i] as usize > stride) {
+        if let Some(i) = (0..n).find(|&i| state.job_counts[i] as usize > wire) {
             return Err(crate::snapshot::SnapshotError::Corrupt(format!(
-                "server {i} claims {} jobs on {stride} cores",
+                "server {i} claims {} jobs on {wire} cores",
                 state.job_counts[i]
             )));
         }
         // Delta-anchor the incoming ids; only the first `job_counts[i]`
         // slots of each row are live (older writers left stale bytes
         // past the count, which a restore must keep ignoring).
+        let live = |i: usize| i * wire..i * wire + state.job_counts[i] as usize;
         let mut id_base = u64::MAX;
         let mut max_id = 0u64;
         let mut any = false;
         for i in 0..n {
-            let row = i * stride;
-            for &id in &state.job_ids[row..row + state.job_counts[i] as usize] {
+            if let Some(&kind) = state.job_kinds[live(i)]
+                .iter()
+                .find(|&&k| k as usize >= WorkloadKind::ALL.len())
+            {
+                return Err(crate::snapshot::SnapshotError::Corrupt(format!(
+                    "server {i} runs a job of unknown workload {kind}"
+                )));
+            }
+            for &id in &state.job_ids[live(i)] {
                 id_base = id_base.min(id);
                 max_id = max_id.max(id);
                 any = true;
@@ -719,28 +761,37 @@ impl ServerFarm {
         self.est_fraction.clone_from(&state.est_fraction);
         self.job_counts.clone_from(&state.job_counts);
         self.id_base = id_base;
-        for pool in &mut self.pools {
-            pool.ids.clear();
-            pool.kinds.clear();
-            pool.next.clear();
-            pool.free.clear();
+        if any {
+            self.ensure_slab();
         }
-        self.job_heads.fill(NO_PAGE);
-        self.job_tails.fill(NO_PAGE);
         for i in 0..n {
-            let row = i * stride;
-            for j in 0..state.job_counts[i] as usize {
-                append_job(
-                    &mut self.pools[i / SHARD],
-                    &mut self.job_heads[i],
-                    &mut self.job_tails[i],
-                    j,
-                    (state.job_ids[row + j] - id_base) as u32,
-                    state.job_kinds[row + j],
-                );
+            let row = i * self.stride;
+            for (j, slot) in live(i).enumerate() {
+                self.job_ids[row + j] = (state.job_ids[slot] - id_base) as u32;
+                self.job_kinds[row + j] = state.job_kinds[slot];
             }
         }
         Ok(())
+    }
+
+    /// Allocates the zeroed job slab if no job has needed it yet.
+    fn ensure_slab(&mut self) {
+        if self.job_ids.is_empty() {
+            let slots = self.len() * self.stride;
+            self.job_ids = vec![0; slots];
+            self.job_kinds = vec![0; slots];
+        }
+    }
+
+    /// Server `i`'s whole row (`stride` slots) as mutable id and kind
+    /// slices; empty while the slab is unallocated.
+    #[inline]
+    fn row_mut(&mut self, i: usize) -> (&mut [u32], &mut [u8]) {
+        let slots = i * self.stride..(i + 1) * self.stride;
+        (
+            self.job_ids.get_mut(slots.clone()).unwrap_or_default(),
+            self.job_kinds.get_mut(slots).unwrap_or_default(),
+        )
     }
 
     /// Number of servers.
@@ -784,21 +835,21 @@ impl ServerFarm {
     /// Server `i`'s running jobs, in table order — the order departure
     /// swap-removes and snapshot rows observe.
     fn job_row(&self, i: usize) -> impl Iterator<Item = (JobId, WorkloadKind)> + '_ {
-        let pool = &self.pools[i / SHARD];
-        let count = self.job_counts[i] as usize;
+        let live = i * self.stride..i * self.stride + self.job_counts[i] as usize;
+        let ids = self.job_ids.get(live.clone()).unwrap_or_default();
+        let kinds = self.job_kinds.get(live).unwrap_or_default();
         let id_base = self.id_base;
-        let mut page = self.job_heads[i];
-        (0..count).map(move |j| {
-            let slot = page as usize * JOB_PAGE + j % JOB_PAGE;
-            let entry = (
-                JobId(id_base + pool.ids[slot] as u64),
-                WorkloadKind::ALL[pool.kinds[slot] as usize],
-            );
-            if j % JOB_PAGE == JOB_PAGE - 1 {
-                page = pool.next[page as usize];
-            }
-            entry
+        ids.iter().zip(kinds).map(move |(&delta, &kind)| {
+            (
+                JobId(id_base + u64::from(delta)),
+                WorkloadKind::ALL[kind as usize],
+            )
         })
+    }
+
+    /// True when job `id` is running on server `i`.
+    pub(crate) fn runs_job(&self, i: usize, id: JobId) -> bool {
+        self.job_row(i).any(|(running, _)| running == id)
     }
 
     /// Cores of server `i` available for placement.
@@ -941,21 +992,17 @@ impl ServerFarm {
             job.id(),
             ServerId(i)
         );
-        if job.id().0 < self.id_base || job.id().0 - self.id_base > u32::MAX as u64 {
-            self.rebase_ids(job.id().0);
-        }
-        let delta = job.id().0 - self.id_base;
-        assert!(delta <= u32::MAX as u64, "live job-id span exceeds u32");
-        let delta = delta as u32;
-        let len = self.job_counts[i] as usize;
-        append_job(
-            &mut self.pools[i / SHARD],
-            &mut self.job_heads[i],
-            &mut self.job_tails[i],
-            len,
-            delta,
-            job.kind().index() as u8,
-        );
+        let delta = match id_delta(self.id_base, job.id()) {
+            Some(delta) => delta,
+            None => {
+                self.rebase_ids(job.id().0);
+                id_delta(self.id_base, job.id()).expect("rebase covers the incoming id")
+            }
+        };
+        self.ensure_slab();
+        let slot = i * self.stride + self.job_counts[i] as usize;
+        self.job_ids[slot] = delta;
+        self.job_kinds[slot] = job.kind().index() as u8;
         self.job_counts[i] += 1;
         self.active_power_w[i] += job.core_power().get();
     }
@@ -981,75 +1028,34 @@ impl ServerFarm {
         let old_base = self.id_base;
         for i in 0..self.len() {
             let len = self.job_counts[i] as usize;
-            let pool = &mut self.pools[i / SHARD];
-            let mut page = self.job_heads[i];
-            for j in (0..len).step_by(JOB_PAGE) {
-                let base_slot = page as usize * JOB_PAGE;
-                for s in 0..JOB_PAGE.min(len - j) {
-                    let delta = old_base + pool.ids[base_slot + s] as u64 - new_base;
-                    assert!(delta <= u32::MAX as u64, "live job-id span exceeds u32");
-                    pool.ids[base_slot + s] = delta as u32;
-                }
-                page = pool.next[page as usize];
+            let (ids, _) = self.row_mut(i);
+            for delta in &mut ids[..len] {
+                let rebased = old_base + u64::from(*delta) - new_base;
+                *delta = u32::try_from(rebased).expect("live job-id span exceeds u32");
             }
         }
         self.id_base = new_base;
     }
 
-    /// Heap bytes currently reserved by the pooled job table — pages,
-    /// free lists, and per-server chain anchors. The 1M-tier budget
-    /// divides this by the server count for its recorded
-    /// bytes-per-server figure.
+    /// Heap bytes currently reserved by the job table — the slab and
+    /// the per-server counts. The 1M-tier budget divides this by the
+    /// server count for its recorded bytes-per-server figure.
     pub fn job_table_bytes(&self) -> usize {
-        self.pools.iter().map(JobPool::heap_bytes).sum::<usize>()
-            + self.pools.capacity() * std::mem::size_of::<JobPool>()
-            + self.job_heads.capacity() * 4
-            + self.job_tails.capacity() * 4
-            + self.job_counts.capacity() * 4
+        self.job_ids.capacity() * 4 + self.job_kinds.capacity() + self.job_counts.capacity() * 4
     }
 
-    /// Hints the CPU to pull server `i`'s placement-hot lanes (chain
-    /// anchors, occupancy count, power lane, and the tail page itself)
-    /// toward L1. Architecturally a no-op — no result ever depends on
-    /// whether the hint fired — so callers may prefetch a *predicted*
-    /// placement target while the current job's bookkeeping still runs;
-    /// at 100k+ servers these lanes are far out of cache and each
-    /// placement otherwise eats the full miss latency serially.
-    ///
-    /// The tail page (where `start_job` writes) is hinted through a
-    /// plain read of `job_tails[i]`: the read has no side effects, and
-    /// an out-of-order core issues the dependent prefetch as soon as
-    /// the anchor arrives — still well ahead of the commit that needs
-    /// the page.
+    /// Hints the CPU to pull server `i`'s placement-hot lanes (occupancy
+    /// count, power lane, and job row) toward L1. Architecturally a
+    /// no-op — no result ever depends on whether the hint fired — so
+    /// callers may prefetch a *predicted* placement target while the
+    /// current job's bookkeeping still runs; at 100k+ servers these
+    /// lanes are far out of cache and each placement otherwise eats the
+    /// full miss latency serially.
     #[inline]
     pub fn prefetch_server(&self, i: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if i < self.len() {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: `i` is in bounds (checked above), so every
-            // pointer is derived in-bounds; prefetch has no other
-            // requirements and never faults architecturally.
-            unsafe {
-                _mm_prefetch::<_MM_HINT_T0>(self.job_heads.as_ptr().add(i).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.job_tails.as_ptr().add(i).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.job_counts.as_ptr().add(i).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.active_power_w.as_ptr().add(i).cast());
-            }
-            let page = self.job_tails[i];
-            if page != NO_PAGE {
-                let pool = &self.pools[i / SHARD];
-                let slot = page as usize * JOB_PAGE;
-                if slot < pool.ids.len() {
-                    // SAFETY: `slot` is in bounds of both page arrays.
-                    unsafe {
-                        _mm_prefetch::<_MM_HINT_T0>(pool.ids.as_ptr().add(slot).cast());
-                        _mm_prefetch::<_MM_HINT_T0>(pool.kinds.as_ptr().add(slot).cast());
-                    }
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = i;
+        prefetch(self.job_counts.as_ptr().wrapping_add(i));
+        prefetch(self.active_power_w.as_ptr().wrapping_add(i));
+        prefetch_row(&self.job_ids, &self.job_kinds, i * self.stride, self.stride);
     }
 
     /// Ensures the persistent pool exists with `threads - 1` parked
@@ -1076,7 +1082,9 @@ impl ServerFarm {
     /// its own slab rows, power lanes, and free-core window, and the
     /// integer per-shard outcomes are folded in shard order.
     ///
-    /// Bit-identical to calling [`ServerFarm::end_job`] over the
+    /// `entries` holds the bucket stably sorted by shard, and shard `s`'s
+    /// entries end at `shard_ends[s]` (one offset per shard). The result
+    /// is bit-identical to calling [`ServerFarm::end_job`] over the
     /// original bucket: the partition is stable, so every server sees
     /// its departures in exactly the bucket order, and per-server power
     /// subtraction order (the only floating-point state involved) is
@@ -1088,53 +1096,59 @@ impl ServerFarm {
     /// updated in place.
     pub(crate) fn end_jobs_sharded(
         &mut self,
-        shard_buckets: &[Vec<(JobId, u32)>],
+        entries: &[(JobId, u32)],
+        shard_ends: &[u32],
         index: &mut ClusterIndex,
         occupancy: &mut [usize; 5],
         timing: Option<&mut SweepTiming>,
     ) -> u64 {
         let n = self.len();
         let num_shards = n.div_ceil(SHARD);
-        debug_assert_eq!(shard_buckets.len(), num_shards);
-        let total_jobs: usize = shard_buckets.iter().map(Vec::len).sum();
+        debug_assert_eq!(shard_ends.len(), num_shards);
         let workers = self
             .threads
             .min(machine_parallelism())
             .min(num_shards)
-            .min((total_jobs / DEPART_JOBS_PER_WORKER).max(1))
+            .min((entries.len() / DEPART_JOBS_PER_WORKER).max(1))
             .max(1);
         if workers > 1 {
             self.ensure_pool();
         }
-        let mut outs = vec![DepartOut::default(); num_shards];
-        let mut tasks: Vec<DepartView<'_>> = Vec::with_capacity(num_shards);
+        self.ensure_slab();
+        let mut outs = std::mem::take(&mut self.depart_outs);
+        outs.clear();
+        outs.resize(num_shards, DepartOut::default());
+        let mut tasks: Vec<Option<DepartView<'_>>> =
+            recycle(std::mem::take(&mut self.depart_tasks));
         let id_base = self.id_base;
+        let stride = self.stride;
         {
-            let mut pools = self.pools.as_mut_slice();
-            let mut heads = self.job_heads.as_mut_slice();
-            let mut tails = self.job_tails.as_mut_slice();
+            let mut entries = entries;
+            let mut ids = self.job_ids.as_mut_slice();
+            let mut kinds = self.job_kinds.as_mut_slice();
             let mut counts = self.job_counts.as_mut_slice();
             let mut power = self.active_power_w.as_mut_slice();
             let mut free = index.free_cores_mut();
             let mut outs_rest = outs.as_mut_slice();
             let mut base = 0;
-            for bucket in shard_buckets {
+            let mut start = 0;
+            for &end in shard_ends {
                 let len = SHARD.min(n - base);
                 let (out, rest) = std::mem::take(&mut outs_rest).split_at_mut(1);
                 outs_rest = rest;
-                let pool = &mut split_front_mut(&mut pools, 1)[0];
-                tasks.push(DepartView {
+                tasks.push(Some(DepartView {
                     base,
                     id_base,
-                    entries: bucket,
-                    pool,
-                    job_heads: split_front_mut(&mut heads, len),
-                    job_tails: split_front_mut(&mut tails, len),
+                    stride,
+                    entries: split_front(&mut entries, end as usize - start),
+                    job_ids: split_front_mut(&mut ids, len * stride),
+                    job_kinds: split_front_mut(&mut kinds, len * stride),
                     job_counts: split_front_mut(&mut counts, len),
                     active_power_w: split_front_mut(&mut power, len),
                     free_cores: split_front_mut(&mut free, len),
                     out: &mut out[0],
-                });
+                }));
+                start = end as usize;
                 base += len;
             }
         }
@@ -1142,16 +1156,12 @@ impl ServerFarm {
         let started = timing.as_ref().map(|_| std::time::Instant::now());
         let mut pool_busy: Vec<u64> = Vec::new();
         if workers == 1 {
-            for task in tasks {
+            for task in tasks.iter_mut().filter_map(Option::take) {
                 run_depart_shard(task);
             }
         } else {
             let pool = self.pool.as_ref().expect("pool sized above");
-            let slots: Vec<UnsafeCell<Option<DepartView<'_>>>> = tasks
-                .into_iter()
-                .map(|t| UnsafeCell::new(Some(t)))
-                .collect();
-            let slots = TaskSlots(&slots);
+            let slots = TaskSlots::new(&mut tasks);
             let run = move |i: usize| {
                 // SAFETY: the pool's claim counter hands out each index
                 // exactly once, so this take never aliases.
@@ -1165,6 +1175,7 @@ impl ServerFarm {
                 pool.run(num_shards, &run);
             }
         }
+        self.depart_tasks = recycle(tasks);
         if let (Some(timing), Some(t0)) = (timing, started) {
             let span_ns = t0.elapsed().as_nanos() as u64;
             timing.shards_ns += span_ns;
@@ -1181,6 +1192,7 @@ impl ServerFarm {
                 *slot -= count as usize;
             }
         }
+        self.depart_outs = outs;
         index.record_bulk_ends(ended);
         ended
     }
@@ -1193,18 +1205,14 @@ impl ServerFarm {
     /// Panics if the job is not running on server `i`.
     #[inline]
     pub fn end_job(&mut self, i: usize, id: JobId) -> WorkloadKind {
-        let kind = remove_job(
-            &mut self.pools[i / SHARD],
-            self.id_base,
-            &mut self.job_heads[i],
-            &mut self.job_tails[i],
-            &mut self.job_counts[i],
-            i,
-            id,
-        );
+        let id_base = self.id_base;
+        let mut count = self.job_counts[i];
+        let (ids, kinds) = self.row_mut(i);
+        let kind = WorkloadKind::ALL[remove_job(ids, kinds, &mut count, id_base, i, id)];
+        self.job_counts[i] = count;
         self.active_power_w[i] -= kind.core_power().get();
         // Guard against f64 drift accumulating into a negative draw.
-        if self.job_counts[i] == 0 {
+        if count == 0 {
             self.active_power_w[i] = 0.0;
         }
         kind
@@ -1408,7 +1416,15 @@ impl<T> Copy for TaskSlots<'_, T> {}
 // tasks themselves move to the claiming thread, hence `T: Send`.
 unsafe impl<T: Send> Sync for TaskSlots<'_, T> {}
 
-impl<T> TaskSlots<'_, T> {
+impl<'slot, T> TaskSlots<'slot, T> {
+    /// Views exclusively borrowed tasks as claim-once slots.
+    fn new(tasks: &'slot mut [Option<T>]) -> Self {
+        let cells = tasks as *mut [Option<T>] as *const [UnsafeCell<Option<T>>];
+        // SAFETY: `UnsafeCell<X>` is `repr(transparent)` over `X`, and
+        // the exclusive borrow rules out any other access for `'slot`.
+        Self(unsafe { &*cells })
+    }
+
     /// Takes slot `i`'s task.
     ///
     /// # Safety
@@ -1489,59 +1505,82 @@ struct DepartOut {
     kinds: [u32; 5],
 }
 
-/// One shard's mutable window over the pooled job table (the shard's
-/// pool owned outright, plus chain-anchor/count windows), power lane,
+/// One shard's mutable window over the job slab, counts, power lane,
 /// and free-core column, plus its slice of the tick's departure bucket.
+#[derive(Debug)]
 struct DepartView<'a> {
     /// Global index of the first server in the shard.
     base: usize,
     /// Farm-wide delta base for stored job ids.
     id_base: u64,
+    /// Slots per job row.
+    stride: usize,
     /// This shard's departures, in original bucket order.
     entries: &'a [(JobId, u32)],
-    pool: &'a mut JobPool,
-    job_heads: &'a mut [u32],
-    job_tails: &'a mut [u32],
+    job_ids: &'a mut [u32],
+    job_kinds: &'a mut [u8],
     job_counts: &'a mut [u32],
     active_power_w: &'a mut [f64],
     free_cores: &'a mut [u32],
     out: &'a mut DepartOut,
 }
 
+/// Empties `v` and re-types it for another lifetime of the same element
+/// type, keeping its allocation (in-place collection reuses the buffer
+/// when element layouts match, as they do here).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("vector was cleared"))
+        .collect()
+}
+
 /// Applies one shard's departures — the same per-entry sequence
-/// [`ServerFarm::end_job`] runs, on shard-local windows.
+/// [`ServerFarm::end_job`] runs, on shard-local windows. The row, count
+/// and power lane of the entry [`PREFETCH_AHEAD`] positions on are
+/// prefetched first; their addresses follow from the server index
+/// alone, so the hint overlaps the current entry's misses. Per-core
+/// power comes from a table indexed by the kind byte (the same `f64`s
+/// `end_job` subtracts), not a branch on the workload.
 fn run_depart_shard(task: DepartView<'_>) {
     let DepartView {
         base,
         id_base,
+        stride,
         entries,
-        pool,
-        job_heads,
-        job_tails,
+        job_ids,
+        job_kinds,
         job_counts,
         active_power_w,
         free_cores,
         out,
     } = task;
-    for &(id, server) in entries {
+    let core_w = WorkloadKind::ALL.map(|kind| kind.core_power().get());
+    for (k, &(id, server)) in entries.iter().enumerate() {
+        if let Some(&(_, ahead)) = entries.get(k + PREFETCH_AHEAD) {
+            let local = (ahead as usize).wrapping_sub(base);
+            prefetch(job_counts.as_ptr().wrapping_add(local));
+            prefetch(active_power_w.as_ptr().wrapping_add(local));
+            prefetch_row(job_ids, job_kinds, local.wrapping_mul(stride), stride);
+        }
         let local = server as usize - base;
+        let row = local * stride..(local + 1) * stride;
         let kind = remove_job(
-            pool,
-            id_base,
-            &mut job_heads[local],
-            &mut job_tails[local],
+            &mut job_ids[row.clone()],
+            &mut job_kinds[row],
             &mut job_counts[local],
+            id_base,
             server as usize,
             id,
         );
-        active_power_w[local] -= kind.core_power().get();
+        active_power_w[local] -= core_w[kind];
         // Same drift guard as `end_job`.
         if job_counts[local] == 0 {
             active_power_w[local] = 0.0;
         }
         free_cores[local] += 1;
         out.ended += 1;
-        out.kinds[kind.index()] += 1;
+        out.kinds[kind] += 1;
     }
 }
 
@@ -1778,7 +1817,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_table_survives_a_rebase() {
+    fn job_table_survives_a_rebase() {
         // The engine's ids are monotonic: by the time one outruns the
         // 32-bit delta window, the oldest live id is nearby. Model
         // that: live ids near u32::MAX (deltas from base 0 barely
@@ -1810,7 +1849,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_table_recycles_pages_under_churn() {
+    fn job_table_is_stable_under_churn() {
         let config = ClusterConfig::paper_default(4);
         let mut farm = ServerFarm::from_config(&config);
         let fill = |farm: &mut ServerFarm, round: u64| {
@@ -1835,7 +1874,7 @@ mod tests {
             fill(&mut farm, round);
             drain(&mut farm, round);
         }
-        // Freed pages are reused, so churn never grows the table.
+        // Rows are fixed-size, so churn never grows the table.
         assert_eq!(farm.job_table_bytes(), settled);
         assert!((0..4).all(|i| farm.used_cores(i) == 0));
     }
@@ -1875,6 +1914,62 @@ mod tests {
             restored.tick_physics(Seconds::new(60.0)),
             farm.tick_physics(Seconds::new(60.0))
         );
+    }
+
+    #[test]
+    fn table_bytes_are_lazy_then_one_row_per_server() {
+        let mut farm = ServerFarm::from_config(&ClusterConfig::paper_default(10));
+        assert_eq!(farm.job_table_bytes(), 10 * 4, "counts only before any job");
+        farm.start_job(3, &job(1, WorkloadKind::WebSearch));
+        // 32 cores: 32 u32 ids + 32 kind bytes + one u32 count.
+        assert_eq!(farm.job_table_bytes(), 10 * 164);
+    }
+
+    #[test]
+    fn row_search_masks_slots_past_the_count() {
+        // Slots at or past the count hold stale bytes — a swap-remove
+        // leaves the removed id behind — which the search must skip.
+        let row: Vec<u32> = (1..=32).collect();
+        assert_eq!(find_job(&row, 10, 10), Some(9));
+        assert_eq!(find_job(&row, 9, 10), None);
+        assert_eq!(find_job(&row, 32, 32), Some(31));
+        assert_eq!(find_job(&row, 31, 32), None);
+        assert_eq!(find_job(&row, 0, 1), None);
+        // Rows of more than 64 slots are searched block by block.
+        let long: Vec<u32> = (1..=72).collect();
+        assert_eq!(find_job(&long, 72, 70), Some(69));
+        assert_eq!(find_job(&long, 69, 70), None);
+        // Through the farm: an ended job's stale copy is not running.
+        let mut farm = ServerFarm::from_config(&ClusterConfig::paper_default(1));
+        for id in 0..10 {
+            farm.start_job(0, &job(id, WorkloadKind::WebSearch));
+        }
+        farm.end_job(0, JobId(9));
+        assert!(!farm.runs_job(0, JobId(9)));
+        assert!((0..9).all(|id| farm.runs_job(0, JobId(id))));
+    }
+
+    #[test]
+    #[should_panic(expected = "job#9 not running on server#0")]
+    fn ending_an_ended_job_panics() {
+        let mut farm = ServerFarm::from_config(&ClusterConfig::paper_default(1));
+        for id in 0..10 {
+            farm.start_job(0, &job(id, WorkloadKind::WebSearch));
+        }
+        farm.end_job(0, JobId(9));
+        farm.end_job(0, JobId(9));
+    }
+
+    #[test]
+    fn recycled_task_vectors_keep_their_allocation() {
+        let mut tasks: Vec<Option<&u8>> = Vec::with_capacity(16);
+        let byte = 7u8;
+        tasks.push(Some(&byte));
+        let ptr = tasks.as_ptr() as usize;
+        let again: Vec<Option<&'static u8>> = recycle(tasks);
+        assert!(again.is_empty());
+        assert_eq!(again.capacity(), 16);
+        assert_eq!(again.as_ptr() as usize, ptr);
     }
 
     #[test]
@@ -1928,8 +2023,181 @@ mod tests {
             farm
         }
 
+        /// Splitmix64 stream for op sequences.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Asserts the farm's table for server `i` against the model
+        /// row: `job_row` order, the `state()` row (dense, zero tail),
+        /// used cores, and power.
+        fn assert_row(
+            farm: &ServerFarm,
+            state: &FarmState,
+            i: usize,
+            row: &[(JobId, WorkloadKind)],
+            power: f64,
+        ) -> Result<(), TestCaseError> {
+            prop_assert_eq!(farm.job_row(i).collect::<Vec<_>>(), row.to_vec());
+            prop_assert_eq!(farm.used_cores(i) as usize, row.len());
+            prop_assert_eq!(state.job_counts[i] as usize, row.len());
+            let wire = farm.cores() as usize;
+            let ids = &state.job_ids[i * wire..(i + 1) * wire];
+            let kinds = &state.job_kinds[i * wire..(i + 1) * wire];
+            for (j, &(id, kind)) in row.iter().enumerate() {
+                prop_assert_eq!(ids[j], id.0);
+                prop_assert_eq!(kinds[j] as usize, kind.index());
+            }
+            prop_assert!(ids[row.len()..].iter().all(|&id| id == 0));
+            prop_assert!(kinds[row.len()..].iter().all(|&k| k == 0));
+            prop_assert_eq!(farm.power(i), farm.power_model.idle() + Watts::new(power));
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// The chunk compare (SSE2 on x86-64) equals the scalar
+            /// `mask |= (v == delta) << s` form, including lanes whose
+            /// sign bit is set and repeated matches.
+            #[test]
+            fn chunk_mask_matches_the_scalar_compare(seed in 0u64..u64::MAX) {
+                const VALUES: [u32; 4] = [0, 1, 0x8000_0000, u32::MAX];
+                let mut rng = seed;
+                for _ in 0..256 {
+                    let lanes: [u32; LANES] =
+                        std::array::from_fn(|_| VALUES[(next(&mut rng) % 4) as usize]);
+                    let delta = VALUES[(next(&mut rng) % 4) as usize];
+                    let scalar = lanes
+                        .iter()
+                        .enumerate()
+                        .fold(0, |mask, (s, &v)| mask | u32::from(v == delta) << s);
+                    prop_assert_eq!(chunk_mask(&lanes, delta), scalar);
+                }
+            }
+
+            /// The job table against a reference model — per server a
+            /// `Vec<(JobId, WorkloadKind)>` with `swap_remove` — over
+            /// random start/end sequences. Starts are biased so rows
+            /// reach all 32 cores; ends pick the first, middle, last, or
+            /// a random slot; ids start just below the u32 delta window
+            /// on half the cases, so the run crosses a rebase.
+            #[test]
+            fn job_table_matches_swap_remove_model(
+                servers in 1usize..5,
+                seed in 0u64..u64::MAX,
+                ops in 1usize..600,
+                near_window_sel in 0u8..2,
+            ) {
+                let near_window = near_window_sel == 1;
+                let mut farm = ServerFarm::from_config(&ClusterConfig::paper_default(servers));
+                let cores = farm.cores() as usize;
+                let mut model: Vec<Vec<(JobId, WorkloadKind)>> = vec![Vec::new(); servers];
+                let mut power = vec![0.0f64; servers];
+                let mut rng = seed;
+                let mut next_id = if near_window { u32::MAX as u64 - 40 } else { 0 };
+                for _ in 0..ops {
+                    let r = next(&mut rng);
+                    let i = (r % servers as u64) as usize;
+                    let len = model[i].len();
+                    let start = len == 0 || (len < cores && !(r >> 8).is_multiple_of(3));
+                    if start {
+                        let kind = WorkloadKind::ALL[((r >> 16) % 5) as usize];
+                        let job = job(next_id, kind);
+                        next_id += 1 + (r >> 24) % 3;
+                        farm.start_job(i, &job);
+                        model[i].push((job.id(), kind));
+                        power[i] += job.core_power().get();
+                    } else {
+                        let pos = match (r >> 16) % 4 {
+                            0 => 0,
+                            1 => len / 2,
+                            2 => len - 1,
+                            _ => ((r >> 24) % len as u64) as usize,
+                        };
+                        let (id, kind) = model[i].swap_remove(pos);
+                        prop_assert_eq!(farm.end_job(i, id), kind);
+                        power[i] -= kind.core_power().get();
+                        if model[i].is_empty() {
+                            power[i] = 0.0;
+                        }
+                    }
+                    let state = farm.state();
+                    for (k, row) in model.iter().enumerate() {
+                        assert_row(&farm, &state, k, row, power[k])?;
+                    }
+                }
+                if near_window {
+                    prop_assert!(next_id > u32::MAX as u64 || ops < 40);
+                }
+            }
+
+            /// The shard partition is stable, and the sharded, prefetched
+            /// departure drain over it ends the same jobs in the same
+            /// per-server order as `end_job` over the unpartitioned
+            /// bucket: identical rows, power lanes, free cores and
+            /// per-workload counts, at one and two workers.
+            #[test]
+            fn sharded_drain_matches_per_entry_end_job(
+                n in 1usize..(3 * SHARD),
+                fill_seed in 0u64..u64::MAX,
+                order_seed in 0u64..u64::MAX,
+                workers in 1usize..3,
+            ) {
+                let mut direct = aged_farm(n, fill_seed, 0, 0);
+                let mut bucket: Vec<(JobId, u32)> = Vec::new();
+                for i in 0..n {
+                    for (id, _) in direct.job_row(i) {
+                        bucket.push((id, i as u32));
+                    }
+                }
+                // A random subset in random order (Fisher–Yates).
+                let mut rng = order_seed;
+                for k in (1..bucket.len()).rev() {
+                    bucket.swap(k, (next(&mut rng) % (k as u64 + 1)) as usize);
+                }
+                bucket.truncate(bucket.len() * 2 / 3);
+                let mut sharded = direct.clone();
+                sharded.set_threads(workers);
+                let mut index = ClusterIndex::new(&sharded);
+                let mut occupancy = [0usize; 5];
+                for i in 0..n {
+                    for (total, count) in occupancy.iter_mut().zip(sharded.kind_counts(i)) {
+                        *total += count as usize;
+                    }
+                }
+                let mut expected = occupancy;
+                for &(id, server) in &bucket {
+                    expected[direct.end_job(server as usize, id).index()] -= 1;
+                }
+                let (mut entries, mut shard_ends) = (Vec::new(), Vec::new());
+                partition_by_shard(&bucket, n.div_ceil(SHARD), &mut entries, &mut shard_ends);
+                // Each shard's run holds exactly its entries, in bucket order.
+                let mut start = 0;
+                for (s, &end) in shard_ends.iter().enumerate() {
+                    let run = &entries[start..end as usize];
+                    let expected: Vec<_> =
+                        bucket.iter().filter(|&&(_, server)| server as usize / SHARD == s).copied().collect();
+                    prop_assert_eq!(run.to_vec(), expected);
+                    start = end as usize;
+                }
+                prop_assert_eq!(start, bucket.len());
+                let ended = sharded.end_jobs_sharded(&entries, &shard_ends, &mut index, &mut occupancy, None);
+                prop_assert_eq!(ended as usize, bucket.len());
+                prop_assert_eq!(occupancy, expected);
+                for i in 0..n {
+                    prop_assert_eq!(
+                        sharded.job_row(i).collect::<Vec<_>>(),
+                        direct.job_row(i).collect::<Vec<_>>()
+                    );
+                    prop_assert_eq!(sharded.power(i), direct.power(i));
+                    prop_assert_eq!(index.free_cores()[i], direct.free_cores(i));
+                }
+            }
 
             /// `ServerFarm` → `Vec<Server>` → `ServerFarm` preserves every
             /// observable a scheduler or probe can read, and the round

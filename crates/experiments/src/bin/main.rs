@@ -1235,13 +1235,13 @@ const MILLION_TIER_SERVERS: usize = 1_000_000;
 /// 100k-vs-10k check, one decade up.
 const MAX_MILLION_COST_FACTOR: f64 = 3.0;
 
-/// Memory budget for the pooled job table at the 1M tier. The dominant
-/// term is pages: at the diurnal peak (~70% of 32 cores busy) a server
-/// chains ⌈22/8⌉ = 3 pages of 44 B each plus 12 B of per-server
-/// anchors, ~150 B/server; 512 leaves headroom for free-list slack and
-/// page-granularity waste without masking a return to the per-slot
-/// slab (which sat at 288 B/server of `u64` ids alone and would blow
-/// straight through this with its `kinds`/capacity overhead).
+/// Memory budget for the job table at the 1M tier. The flat slab holds
+/// one row per server: 32 u32 id deltas, 32 kind bytes and a u32 count
+/// at 32 cores, 164 B/server whatever the load (rows recorded under the
+/// former paged pool sit near 195 B). 512 leaves headroom for larger
+/// core counts without masking a return to a `u64`-id slab, which sat
+/// at 288 B/server of ids alone and would blow through this with its
+/// `kinds`/capacity overhead.
 const MAX_MILLION_BYTES_PER_SERVER: f64 = 512.0;
 
 /// Validates an engine benchmark artifact
@@ -1505,10 +1505,10 @@ fn cmd_check_bench(rest: &[String]) {
     // The 1M tier gets the same relative treatment, anchored on the
     // same-thread 100k row: per-server per-tick cost may grow by at
     // most the cache-pressure factor across the 10x size jump, and each
-    // row must carry the pooled job table's bytes-per-server under the
-    // memory budget (the compressed table is the reason the tier fits
-    // in RAM at all — a row without the record, or over budget, means
-    // the pooling regressed).
+    // row must carry the job table's bytes-per-server under the memory
+    // budget (the compact table is the reason the tier fits in RAM at
+    // all — a row without the record, or over budget, means the table
+    // regressed).
     for row in &report.scaling {
         if row.scheduler != "vmt-wa" || row.servers != MILLION_TIER_SERVERS {
             continue;

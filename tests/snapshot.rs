@@ -408,3 +408,83 @@ fn zoned_run_restores_bit_identically() {
         );
     }
 }
+
+/// Hostile snapshot edits: each must be rejected at restore with a typed
+/// `Corrupt` error instead of restoring and panicking mid-run.
+mod hostile_edits {
+    use super::*;
+    use vmt::dcsim::SnapshotError;
+
+    const SERVERS: usize = 20;
+
+    /// A 20-server round-robin snapshot at tick 120.
+    fn round_robin_snapshot() -> Snapshot {
+        let mut sim = build_sized(0, PolicyKind::RoundRobin, 1, SERVERS, 4.0);
+        sim.run_until(120);
+        sim.snapshot().expect("round robin snapshots")
+    }
+
+    /// Sends an edited snapshot through the container (so its digest
+    /// covers the edit) and restores it, expecting a `Corrupt` error
+    /// whose reason mentions `needle`.
+    fn assert_rejected(snapshot: &Snapshot, needle: &str) {
+        let decoded = Snapshot::decode(&snapshot.encode()).expect("edited snapshot decodes");
+        match restore_simulation(&decoded) {
+            Err(SnapshotError::Corrupt(reason)) => {
+                assert!(reason.contains(needle), "unexpected reason: {reason}")
+            }
+            Err(other) => panic!("expected a corrupt-snapshot error, got {other}"),
+            Ok(_) => panic!("edited snapshot restored"),
+        }
+    }
+
+    #[test]
+    fn unknown_workload_byte_is_rejected() {
+        let mut snapshot = round_robin_snapshot();
+        let wire = snapshot.farm.job_kinds.len() / SERVERS;
+        let busy = (0..SERVERS)
+            .find(|&i| snapshot.farm.job_counts[i] > 0)
+            .expect("a busy server");
+        snapshot.farm.job_kinds[busy * wire] = 9;
+        assert_rejected(&snapshot, "unknown workload 9");
+    }
+
+    #[test]
+    fn departure_of_a_job_not_running_is_rejected() {
+        let mut snapshot = round_robin_snapshot();
+        let (_, bucket) = snapshot
+            .departures
+            .iter_mut()
+            .find(|(_, bucket)| !bucket.is_empty())
+            .expect("a pending departure");
+        bucket[0] = (9_999_999, 12);
+        assert_rejected(&snapshot, "job#9999999, which is not running on server 12");
+    }
+
+    #[test]
+    fn job_departing_twice_is_rejected() {
+        let mut snapshot = round_robin_snapshot();
+        let (_, bucket) = snapshot
+            .departures
+            .iter_mut()
+            .find(|(_, bucket)| !bucket.is_empty())
+            .expect("a pending departure");
+        let twice = bucket[0];
+        bucket.push(twice);
+        assert_rejected(&snapshot, "departs more than once");
+    }
+
+    #[test]
+    fn occupancy_disagreeing_per_workload_is_rejected() {
+        // Totals still agree; only the per-workload split is wrong.
+        let mut snapshot = round_robin_snapshot();
+        let from = snapshot
+            .occupancy
+            .iter()
+            .position(|&count| count > 0)
+            .expect("a running workload");
+        snapshot.occupancy[from] -= 1;
+        snapshot.occupancy[(from + 1) % 5] += 1;
+        assert_rejected(&snapshot, "per workload");
+    }
+}
