@@ -276,9 +276,13 @@ impl Simulation {
         self.scheduler.name()
     }
 
-    /// Runs the simulation over the trace's full horizon.
-    pub fn run(self) -> SimulationResult {
-        self.run_returning_servers().0
+    /// Runs the simulation over the trace's full horizon. Unlike
+    /// [`Simulation::run_returning_servers`] this never materializes
+    /// the per-server objects.
+    pub fn run(mut self) -> SimulationResult {
+        self.start_run();
+        while self.step() {}
+        self.take_result()
     }
 
     /// Runs the simulation and also returns the servers' final state —
@@ -401,6 +405,13 @@ impl Simulation {
     /// result: series hold one sample per executed tick and unreached
     /// heatmap rows stay zero.
     pub fn finish(mut self) -> (SimulationResult, Vec<Server>) {
+        let result = self.take_result();
+        (result, self.farm.to_servers())
+    }
+
+    /// Ends the run and assembles its result (flushing telemetry),
+    /// leaving the farm in place for callers that want the servers.
+    fn take_result(&mut self) -> SimulationResult {
         self.start_run();
         let run = self.run.take().expect("start_run just installed the run");
         let result = SimulationResult {
@@ -427,7 +438,7 @@ impl Simulation {
                 result.electrical.peak().get(),
             );
         }
-        (result, self.farm.to_servers())
+        result
     }
 
     /// The body of one tick, operating on accumulators taken out of

@@ -76,12 +76,17 @@ pub trait PlacementProbe {
 
 /// A cluster-level job placement policy.
 ///
-/// The engine calls [`Scheduler::on_tick`] once per simulated minute
-/// (after departures, before arrivals) so policies can refresh any
-/// derived state — sorted orders, group sizes, wax scans — and then calls
-/// [`Scheduler::place`] once per arriving job. Policies should do their
-/// per-tick work in `on_tick` and keep `place` amortized O(1); at cluster
-/// scale the engine performs millions of placements per simulated day.
+/// The engine calls [`Scheduler::on_tick_indexed`] once per simulated
+/// minute (after departures, before arrivals) so policies can refresh
+/// any derived state — sorted orders, group sizes, wax scans — and then
+/// hands the tick's whole arrival batch to [`Scheduler::place_batch`]
+/// (or [`Scheduler::place_batch_traced`] when span tracing is armed).
+/// The default `on_tick_indexed` delegates to `on_tick`, and the
+/// default `place_batch` calls `place_indexed` (by default `place`) once
+/// per job, so a policy that implements only `on_tick` and `place`
+/// still works. Policies should do their per-tick work in the tick hook
+/// and keep each placement amortized O(1); at cluster scale the engine
+/// performs millions of placements per simulated day.
 ///
 /// Schedulers observe servers only through the [`ServerFarm`]'s public
 /// accessors; in particular the wax state they can see is the

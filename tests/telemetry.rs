@@ -237,3 +237,35 @@ fn summary_agrees_with_result_and_counters() {
     assert!(report.contains("tick phases"));
     assert!(report.contains(&result.scheduler_name));
 }
+
+/// `run()` skips materializing the final `Vec<Server>`, so it must
+/// return exactly what `run_returning_servers()` returns, with and
+/// without telemetry attached, and still flush the telemetry summary.
+#[test]
+fn run_equals_run_returning_servers() {
+    let policy = PolicyKind::vmt_wa(22.0);
+    let build = || {
+        let (cluster, trace) = config(0, 24.0);
+        let scheduler = policy.build(&cluster);
+        Simulation::new(cluster, DiurnalTrace::new(trace), scheduler)
+    };
+    let (returned, servers) = build().run_returning_servers();
+    assert_eq!(servers.len(), SERVERS);
+    assert_eq!(build().run(), returned, "without telemetry");
+
+    let telemetry = TelemetryConfig::new();
+    let summary: SummaryHandle = telemetry.summary.clone();
+    let run = build().with_telemetry(telemetry).run();
+    assert_eq!(run, returned, "with telemetry");
+    assert_eq!(
+        summary.get().expect("summary deposited").placements,
+        run.placements
+    );
+    let (instrumented, _) = build()
+        .with_telemetry(TelemetryConfig::new())
+        .run_returning_servers();
+    assert_eq!(
+        instrumented, returned,
+        "run_returning_servers with telemetry"
+    );
+}
